@@ -18,6 +18,13 @@ src/core, src/block, and src/service unless noted):
                            except src/common/cpu_affinity.{h,cc}: pinning must go through
                            PinCurrentThreadToCore/AllowedCores so the cpuset-aware fallback
                            (and its pin_failures accounting) cannot be bypassed.
+  raw-sleep                (all of src/) raw sleeps and readiness polls — usleep, sleep,
+                           nanosleep, clock_nanosleep, sleep_for/sleep_until, and bare
+                           poll/ppoll — are banned everywhere except src/common/sleep.{h,cc}:
+                           service waits must go through WaitReady/SleepFullMicros, whose
+                           EINTR handling keeps an iteration budget from silently shrinking
+                           its deadline. Member calls (x.poll(...), p->poll(...)) and
+                           longer names (PollOnce) do not match.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -84,6 +91,9 @@ ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
 # raw-affinity likewise: the helper pair is the one sanctioned home for affinity syscalls.
 CPU_AFFINITY_SOURCES = ("src/common/cpu_affinity.h", "src/common/cpu_affinity.cc")
+# raw-sleep covers the library only; the sleep/wait helper pair is its one sanctioned home.
+RAW_SLEEP_DIRS = ("src",)
+SLEEP_SOURCES = ("src/common/sleep.h", "src/common/sleep.cc")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -93,6 +103,11 @@ RAW_MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|shared_lock)\b")
 RAW_AFFINITY_RE = re.compile(
     r"\b(pthread_[gs]etaffinity_np|sched_[gs]etaffinity)\s*\(")
+# Whole-word calls only: no identifier character, '.', or '->' before the name, so member
+# calls and longer identifiers stay quiet while std::this_thread::sleep_for and ::poll fire.
+RAW_SLEEP_RE = re.compile(
+    r"(?<![\w.>])(usleep|sleep|nanosleep|clock_nanosleep|sleep_for|sleep_until|poll|ppoll)"
+    r"\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -278,6 +293,16 @@ def lint_file(rel, text):
                     f"{m.group(1)} outside src/common/cpu_affinity.*; use "
                     f"PinCurrentThreadToCore/AllowedCores so the cpuset-aware fallback "
                     f"and pin_failures accounting apply")
+
+    # raw-sleep: the library, except the sleep/wait helper pair itself.
+    if in_scope(rel_posix, RAW_SLEEP_DIRS) and rel_posix not in SLEEP_SOURCES:
+        for idx, line in enumerate(lines, 1):
+            m = RAW_SLEEP_RE.search(line)
+            if m:
+                add(idx, "raw-sleep",
+                    f"raw {m.group(1)}() outside src/common/sleep.*; use WaitReady (block "
+                    f"until the peer signals) or SleepFullMicros so EINTR cannot shorten "
+                    f"a budgeted deadline")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)

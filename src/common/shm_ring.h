@@ -116,9 +116,10 @@ enum class WorkerLifeState : uint32_t {
   kExited = 2,    // Clean shutdown (a crashed worker never reaches this).
 };
 
-// Per-worker shared control block: the heartbeat counter advances every worker poll
-// iteration, so a stalled counter with a live pid is a hung worker (distinct from a dead
-// one, which waitpid reports). Lives in the same pre-fork ShmRegion as the rings.
+// Per-worker shared control block: the heartbeat counter advances on every worker wake-up
+// and every timed-out wait, so a stalled counter with a live pid is a hung worker (distinct
+// from a dead one, which waitpid reports). Lives in the same pre-fork ShmRegion as the
+// rings.
 struct WorkerControlBlock {
   alignas(64) std::atomic<uint64_t> heartbeat;
   alignas(64) std::atomic<uint32_t> life_state;

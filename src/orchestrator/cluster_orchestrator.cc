@@ -163,6 +163,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   std::thread timekeeper([&] {
     auto unit = std::chrono::duration<double, std::milli>(config_.virtual_unit_wall_ms);
     while (!stop.load(std::memory_order_acquire)) {
+      // dpack-lint: allow(raw-sleep): wall pacing of virtual time; the sleep is the clock.
       std::this_thread::sleep_for(unit);
       double now = clock.load(std::memory_order_relaxed) + 1.0;
       clock.store(now, std::memory_order_release);
@@ -177,6 +178,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
     for (Task& task : tasks) {
       while (clock.load(std::memory_order_acquire) < task.arrival_time &&
              !stop.load(std::memory_order_acquire)) {
+        // dpack-lint: allow(raw-sleep): waits on the wall-paced timekeeper, not on a peer.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
       store.RoundTrip(1);  // Claim creation.
@@ -193,6 +195,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   while (true) {
     double now = clock.load(std::memory_order_acquire);
     if (now < next_cycle) {
+      // dpack-lint: allow(raw-sleep): waits on the wall-paced timekeeper, not on a peer.
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           config_.virtual_unit_wall_ms / 4.0));
       continue;

@@ -17,6 +17,7 @@ void SimulatedStateStore::RoundTrip(uint64_t ops) {
     return;
   }
   auto total = std::chrono::duration<double, std::micro>(latency_us_ * static_cast<double>(ops));
+  // dpack-lint: allow(raw-sleep): simulated store latency; the sleep is the modelled cost.
   std::this_thread::sleep_for(total);
 }
 

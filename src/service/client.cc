@@ -1,6 +1,7 @@
 #include "src/service/client.h"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -80,6 +81,8 @@ bool ServiceClient::Connect(const std::string& address_text, std::string* error)
     if (errno != ECONNREFUSED && errno != ENOENT && errno != EINTR) {
       break;
     }
+    // No descriptor signals that a daemon has started listening, and connect is not on
+    // the round-trip path, so a bounded sleep between attempts is enough.
     SleepFullMicros(config_.poll_sleep_us);
   }
   *error = std::string("cannot connect to ") + address_text + ": " + std::strerror(errno);
@@ -97,7 +100,8 @@ bool ServiceClient::SendRequest(const ServiceMessage& message, std::string* erro
   socket_->QueueFrame(payload);
   ++counters_.frames_sent;
   counters_.bytes_sent += kFrameHeaderBytes + payload.size();
-  for (uint64_t poll = 0; poll < config_.io_budget; ++poll) {
+  uint64_t timeouts = 0;
+  while (true) {
     socket_->FlushSome();
     if (socket_->dead()) {
       *error = "daemon closed the connection mid-send";
@@ -106,15 +110,19 @@ bool ServiceClient::SendRequest(const ServiceMessage& message, std::string* erro
     if (socket_->pending_output() == 0) {
       return true;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    pollfd writable = {socket_->fd(), POLLOUT, 0};
+    if (!WaitReady({&writable, 1}, config_.poll_sleep_us) &&
+        ++timeouts >= config_.io_budget) {
+      *error = "send budget exhausted (daemon not draining)";
+      return false;
+    }
   }
-  *error = "send budget exhausted (daemon not draining)";
-  return false;
 }
 
 bool ServiceClient::ReceiveReply(ServiceMessage* out, std::string* error) {
   std::string payload;
-  for (uint64_t poll = 0; poll < config_.io_budget; ++poll) {
+  uint64_t timeouts = 0;
+  while (true) {
     socket_->ReadSome();
     switch (socket_->NextFrame(&payload, config_.max_frame_bytes, error)) {
       case FrameSocket::Next::kFrame: {
@@ -138,10 +146,15 @@ bool ServiceClient::ReceiveReply(ServiceMessage* out, std::string* error) {
       *error = "daemon closed the connection";
       return false;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    // Readable means bytes or EOF, both of which the next ReadSome consumes, so a ready
+    // socket never spins here; only a timed-out wait spends budget.
+    pollfd readable = {socket_->fd(), POLLIN, 0};
+    if (!WaitReady({&readable, 1}, config_.poll_sleep_us) &&
+        ++timeouts >= config_.io_budget) {
+      *error = "reply budget exhausted (daemon silent)";
+      return false;
+    }
   }
-  *error = "reply budget exhausted (daemon silent)";
-  return false;
 }
 
 bool ServiceClient::Submit(double now, const std::vector<Task>& tasks, uint64_t* accepted,

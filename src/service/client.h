@@ -2,10 +2,13 @@
 // strict request/reply client speaking checksum-framed ServiceMessages, plus the remote
 // workload driver that replays the sim driver's exact event order over the wire.
 //
-// Blocking waits follow the service discipline — iteration budgets over a fixed poll sleep
-// (SleepFullMicros, so EINTR never shortens a deadline), no clock reads. Every failure path
-// (daemon gone, corrupt reply, budget exhausted, reply out of sequence) returns false with
-// a diagnostic; the client never spins forever on a dead daemon.
+// Blocking waits follow the service discipline — a request blocks on socket readiness
+// (WaitReady: POLLOUT while sending, POLLIN while awaiting the reply), each wait times out
+// after poll_sleep_us, and the io budget counts the timed-out waits, so a deadline is
+// io_budget * poll_sleep_us of daemon silence with no clock reads and no shortening by
+// EINTR. Every failure path (daemon gone, corrupt reply, budget exhausted, reply out of
+// sequence) returns false with a diagnostic; the client never spins forever on a dead
+// daemon.
 
 #ifndef SRC_SERVICE_CLIENT_H_
 #define SRC_SERVICE_CLIENT_H_
@@ -24,8 +27,10 @@ namespace dpack {
 
 struct NetClientConfig {
   size_t max_frame_bytes = 1 << 20;   // Replies beyond this are corruption, not patience.
+  // The longest one wait may block (microseconds): a readiness wait on the socket, which
+  // the daemon's bytes end at once, or the sleep between connect attempts.
   unsigned int poll_sleep_us = 200;
-  // Poll iterations to wait for connect / a reply before giving up. At the default sleep
+  // Timed-out waits (or connect attempts) allowed before giving up. At the default timeout
   // this is tens of seconds of daemon silence — a dead daemon, not a slow one.
   uint64_t io_budget = 100000;
 };
@@ -57,7 +62,8 @@ class ServiceClient {
 
  private:
   bool SendRequest(const ServiceMessage& message, std::string* error);
-  // Waits (budgeted) for the next frame and decodes it. Any transport damage is terminal.
+  // Waits (budgeted, on socket readiness) for the next frame and decodes it. Any transport
+  // damage is terminal.
   bool ReceiveReply(ServiceMessage* out, std::string* error);
 
   NetClientConfig config_;

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -483,6 +484,24 @@ bool NetServiceFront::PollOnce() {
   return progress;
 }
 
+bool NetServiceFront::AwaitSockets(bool want_input) {
+  std::vector<pollfd> fds;
+  fds.reserve(connections_.size() + 1);
+  if (want_input) {
+    fds.push_back({listener_->fd(), POLLIN, 0});
+  }
+  for (const Connection& conn : connections_) {
+    short events = want_input ? POLLIN : 0;
+    if (conn.socket->pending_output() > 0) {
+      events |= POLLOUT;
+    }
+    if (events != 0) {
+      fds.push_back({conn.socket->fd(), events, 0});
+    }
+  }
+  return WaitReady(fds, config_.poll_sleep_us);
+}
+
 bool NetServiceFront::ServeUntilShutdown() {
   uint64_t idle_polls = 0;
   while (!shutdown_received_) {
@@ -494,7 +513,7 @@ bool NetServiceFront::ServeUntilShutdown() {
       std::fprintf(stderr, "net: serve idle budget exhausted; stopping\n");
       return false;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    AwaitSockets(/*want_input=*/true);
   }
   // Flush the replies still owed to well-behaved clients, on the same progress budget a
   // single connection gets; whoever has not drained by then is dropped with the daemon.
@@ -507,7 +526,7 @@ bool NetServiceFront::ServeUntilShutdown() {
     if (!any_pending) {
       break;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    AwaitSockets(/*want_input=*/false);
   }
   counters_.disconnects += connections_.size();
   connections_.clear();

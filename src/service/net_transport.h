@@ -7,10 +7,12 @@
 // The daemon side is a single-threaded, event-driven accept loop: one PollOnce() step
 // accepts pending connections, drains readable bytes, dispatches complete frames into the
 // GrantService, and flushes reply bytes, all on nonblocking sockets — no new threads, no
-// mutexes, and no clock reads anywhere near the scheduling path. Liveness is iteration
-// budgets, exactly like the shm transport: a connection that holds a partial frame or an
-// unflushed reply without making progress for `progress_budget` consecutive polls is
-// disconnected.
+// mutexes, and no clock reads anywhere near the scheduling path. Between steps the loop
+// blocks in one readiness wait (WaitReady over the listener and every connection) that a
+// peer's bytes end at once and that otherwise times out after poll_sleep_us. Liveness is
+// iteration budgets, exactly like the shm transport: a connection that holds a partial
+// frame or an unflushed reply without making progress for `progress_budget` consecutive
+// polls is disconnected.
 //
 // Clients are never trusted (the self-stabilizing stance: correctness must survive
 // arbitrarily misbehaving peers):
@@ -83,7 +85,7 @@ struct NetCounters {
 // input buffer until a complete checksum-clean frame is present; partial writes drain an
 // output buffer as the kernel accepts bytes. EINTR is retried, EAGAIN means "no progress
 // this poll", EOF/EPIPE/ECONNRESET mark the socket dead. Used by both the daemon front and
-// the client (the client simply wraps its polls in budgeted wait loops).
+// the client (the client simply wraps its polls in budgeted readiness-wait loops).
 class FrameSocket {
  public:
   // Takes ownership of `fd` and switches it to nonblocking mode.
@@ -107,6 +109,8 @@ class FrameSocket {
   Next NextFrame(std::string* payload, size_t max_frame_bytes, std::string* error);
 
   bool dead() const { return dead_; }
+  // The descriptor, for readiness waits; reads and writes go through the methods above.
+  int fd() const { return fd_; }
   // True while the peer owes us bytes (a partial frame is buffered) or we owe the kernel
   // bytes (unflushed output) — the states the progress budget meters.
   bool has_partial_input() const { return !in_.empty(); }
@@ -131,8 +135,9 @@ struct NetFrontConfig {
   // Consecutive no-progress polls a connection may hold a partial frame or unflushed
   // output; exhaustion is a disconnect (counted in budget_disconnects).
   uint64_t progress_budget = 40000;
-  // Sleep between idle PollOnce() iterations in ServeUntilShutdown (microseconds; routed
-  // through SleepFullMicros so EINTR never shortens the budget arithmetic).
+  // The longest one readiness wait between idle PollOnce() steps in ServeUntilShutdown may
+  // block (microseconds). Any socket event ends the wait early; EINTR never shortens it
+  // (WaitReady), so the budgets below keep their arithmetic.
   unsigned int poll_sleep_us = 200;
   // ServeUntilShutdown gives up after this many consecutive totally-idle polls (no
   // connections, no bytes). 0 = serve forever; harnesses set a bound so an orphaned
@@ -153,6 +158,9 @@ class NetListener {
 
   // Accepts one pending connection (nonblocking); -1 when none is waiting.
   int Accept();
+
+  // The listening descriptor, for readiness waits (readable = a connection is pending).
+  int fd() const { return fd_; }
 
   const NetAddress& address() const { return address_; }
   // The printable form clients connect to ("unix:<path>" / "tcp:<resolved port>").
@@ -178,12 +186,12 @@ class NetServiceFront {
   ~NetServiceFront();
 
   // One event-loop step: accept, read, dispatch, flush. Returns true if any connection
-  // made progress (the caller sleeps only when nothing moved).
+  // made progress (the caller waits for readiness only when nothing moved).
   bool PollOnce();
 
   // Runs PollOnce until a client sends Shutdown (returns true) or the idle budget runs out
-  // (returns false; only with serve_idle_budget > 0). Remaining replies are flushed on a
-  // budget before returning.
+  // (returns false; only with serve_idle_budget > 0), blocking on socket readiness while
+  // idle. Remaining replies are flushed on a budget before returning.
   bool ServeUntilShutdown();
 
   bool shutdown_received() const { return shutdown_received_; }
@@ -212,6 +220,10 @@ class NetServiceFront {
   bool ValidateEntry(const SubmitMsg::Entry& entry, std::string* error) const;
   void SendMessage(Connection& conn, const ServiceMessage& message);
   void CloseConnection(size_t index, const char* reason);
+  // Blocks until a socket is ready or poll_sleep_us passes: POLLOUT on every connection
+  // with unflushed output, plus (with `want_input`) POLLIN on the listener and on every
+  // connection. Returns false on a timeout.
+  bool AwaitSockets(bool want_input);
 
   GrantService* service_;
   const BlockManager* blocks_;

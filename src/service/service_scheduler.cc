@@ -1,7 +1,6 @@
 #include "src/service/service_scheduler.h"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <utility>
@@ -76,6 +75,7 @@ void ServiceScheduler::BindWorker(size_t w, const BlockManager& blocks) {
 }
 
 void ServiceScheduler::AwaitHello(size_t w) {
+  const size_t worker[] = {w};
   uint64_t polls = 0;
   while (true) {
     ServiceMessage msg;
@@ -91,10 +91,9 @@ void ServiceScheduler::AwaitHello(size_t w) {
                     "worker " << w << " ring corrupt during bind: " << error);
     DPACK_CHECK_MSG(transport_.Poll(w) == ChildState::kRunning,
                     "worker " << w << " died during the bind handshake");
-    DPACK_CHECK_MSG(++polls < config_.stall_budget,
-                    "worker " << w << " never answered Bind (stall budget exhausted)");
-    if (config_.poll_sleep_us > 0) {
-      usleep(config_.poll_sleep_us);
+    if (!transport_.WaitForFrames(worker)) {
+      DPACK_CHECK_MSG(++polls < config_.stall_budget,
+                      "worker " << w << " never answered Bind (stall budget exhausted)");
     }
   }
 }
@@ -282,6 +281,7 @@ void ServiceScheduler::CollectReplies() {
   size_t workers = config_.num_workers;
   std::vector<uint64_t> last_heartbeat(workers, 0);
   std::vector<uint64_t> stalled_polls(workers, 0);
+  std::vector<size_t> owing;
   for (size_t w = 0; w < workers; ++w) {
     if (transport_.alive(w)) {
       last_heartbeat[w] = transport_.heartbeat(w);
@@ -336,10 +336,22 @@ void ServiceScheduler::CollectReplies() {
     if (progress) {
       continue;
     }
-    // No frame anywhere: look for corpses (waitpid) and hangs (heartbeat stalled for the
-    // whole iteration budget — the heartbeat advances on every worker poll, so a stall of
-    // budget * poll_sleep_us with a live pid means SIGSTOP or a wedge, and the daemon
-    // replaces the worker the same way it replaces a corpse).
+    // No frame anywhere: block on the doorbells of every worker still owing a reply. A
+    // doorbell means a frame to pop, so only a timed-out wait spends stall budget.
+    owing.clear();
+    for (size_t w = 0; w < workers; ++w) {
+      if (!outstanding_[w].empty() && transport_.alive(w)) {
+        owing.push_back(w);
+      }
+    }
+    if (transport_.WaitForFrames(owing)) {
+      continue;
+    }
+    // A whole timeout without a frame: look for corpses (waitpid) and hangs (heartbeat
+    // stalled for the whole iteration budget — an idle worker bumps its heartbeat at least
+    // once per poll_sleep_us, so a stall of budget * poll_sleep_us with a live pid means
+    // SIGSTOP or a wedge, and the daemon replaces the worker the same way it replaces a
+    // corpse).
     for (size_t w = 0; w < workers; ++w) {
       if (outstanding_[w].empty() || !transport_.alive(w)) {
         continue;
@@ -356,9 +368,6 @@ void ServiceScheduler::CollectReplies() {
         transport_.Kill(w, SIGKILL);
         RecoverWorker(w);
       }
-    }
-    if (config_.poll_sleep_us > 0) {
-      usleep(config_.poll_sleep_us);
     }
   }
 }

@@ -20,10 +20,11 @@
 //      AllocateInOrder, after every reply is in, so the state a recovering worker restores
 //      equals the state the round was broadcast against.
 //
-// Death detection is two-pronged (waitpid for corpses, a shared heartbeat for hangs), and
-// every wait is an iteration budget at a fixed poll sleep — no clock reads anywhere on the
-// scheduling path (scripts/dpack_lint.py enforces the same nondeterminism rules here as in
-// src/core).
+// Death detection is two-pronged (waitpid for corpses, a shared heartbeat for hangs). Every
+// wait for a worker's frame blocks on that worker's ring doorbell (src/service/transport.h)
+// with poll_sleep_us as its timeout, and only a timed-out wait spends the iteration budget
+// — no clock reads anywhere on the scheduling path (scripts/dpack_lint.py enforces the same
+// nondeterminism rules here as in src/core).
 
 #ifndef SRC_SERVICE_SERVICE_SCHEDULER_H_
 #define SRC_SERVICE_SERVICE_SCHEDULER_H_
@@ -58,7 +59,8 @@ struct ServiceConfig {
   size_t num_shards = 0;
   double eta = 0.05;  // DPack approximation parameter (kDpack only).
   ServiceRecovery recovery = ServiceRecovery::kReassign;
-  // Transport tuning (see TransportConfig).
+  // Transport tuning (see TransportConfig): poll_sleep_us is the longest one wait may
+  // block, stall_budget the timed-out waits allowed before a worker counts as hung.
   size_t ring_bytes = 1 << 20;
   unsigned int poll_sleep_us = 50;
   uint64_t stall_budget = 40000;
@@ -99,7 +101,8 @@ class ServiceScheduler : public Scheduler {
  private:
   void EnsureStarted(const BlockManager& blocks);
   void BindWorker(size_t w, const BlockManager& blocks);
-  // Blocks until worker w's Hello arrives (budgeted; a worker dying mid-handshake is fatal).
+  // Blocks on worker w's doorbell until its Hello arrives (budgeted; a worker dying
+  // mid-handshake is fatal).
   void AwaitHello(size_t w);
   // Ships the block/task diffs since the previous round to every live worker.
   void BroadcastDiffs(std::span<const Task> pending, const BlockManager& blocks);
@@ -109,8 +112,9 @@ class ServiceScheduler : public Scheduler {
   // Handles one dead worker (slot already marked dead): reassign or respawn, re-requesting
   // whatever was outstanding. Requires round state (batch ids, pending, blocks) to be set.
   void RecoverWorker(size_t w);
-  // Drains score replies until no request is outstanding, detecting deaths (waitpid) and
-  // hangs (heartbeat stall over the iteration budget) as it waits.
+  // Drains score replies until no request is outstanding, blocking on the doorbells of the
+  // workers that still owe one, and detecting deaths (waitpid) and hangs (heartbeat stall
+  // over the iteration budget) whenever a wait times out.
   void CollectReplies();
 
   GreedyMetric metric_;

@@ -1,8 +1,11 @@
 #include "src/service/transport.h"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <new>
 #include <utility>
 
@@ -32,6 +35,41 @@ char* FromWorkerBase(void* region, const TransportConfig& config) {
 // must end rather than spin orphaned. getppid is a pure process-tree read, not a clock.
 bool DaemonGone() { return getppid() == 1; }
 
+int MakeDoorbell() {
+  int fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  DPACK_CHECK_MSG(fd >= 0, "eventfd failed with errno " << errno);
+  return fd;
+}
+
+// Adds one to the doorbell's counter, waking a consumer blocked on it. The counter cannot
+// saturate (it would take 2^64 rings between two clears), so only EINTR needs handling.
+void RingDoorbell(int fd) {
+  const uint64_t one = 1;
+  while (write(fd, &one, sizeof(one)) < 0 && errno == EINTR) {
+  }
+}
+
+// Resets the doorbell's counter to zero. EAGAIN means it was already clear.
+void ClearDoorbell(int fd) {
+  uint64_t count = 0;
+  while (read(fd, &count, sizeof(count)) < 0 && errno == EINTR) {
+  }
+}
+
+// Blocks until one of `bells` (POLLIN on doorbells) rings or `micros` pass, then clears
+// the ones that rang. Returns false on a timeout.
+bool AwaitDoorbells(std::span<pollfd> bells, unsigned int micros) {
+  if (!WaitReady(bells, micros)) {
+    return false;
+  }
+  for (const pollfd& bell : bells) {
+    if (bell.revents != 0) {
+      ClearDoorbell(bell.fd);
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -39,11 +77,14 @@ bool DaemonGone() { return getppid() == 1; }
 // ---------------------------------------------------------------------------
 
 WorkerEndpoint::WorkerEndpoint(size_t index, WorkerControlBlock* control, ShmRing in,
-                               ShmRing out, unsigned int poll_sleep_us)
+                               ShmRing out, int in_bell, int out_bell,
+                               unsigned int poll_sleep_us)
     : index_(index),
       control_(control),
       in_(in),
       out_(out),
+      in_bell_(in_bell),
+      out_bell_(out_bell),
       poll_sleep_us_(poll_sleep_us) {}
 
 bool WorkerEndpoint::Receive(ServiceMessage* out) {
@@ -60,7 +101,8 @@ bool WorkerEndpoint::Receive(ServiceMessage* out) {
     if (DaemonGone()) {
       return false;
     }
-    SleepFullMicros(poll_sleep_us_);
+    pollfd bell = {in_bell_, POLLIN, 0};
+    AwaitDoorbells({&bell, 1}, poll_sleep_us_);
   }
   std::string error;
   return DecodeMessage(frame, out, &error);
@@ -73,8 +115,11 @@ bool WorkerEndpoint::Send(const ServiceMessage& message) {
       return false;
     }
     control_->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    // A full ring has no doorbell to wait on; backpressure is rare (ring_stalls stays 0 on
+    // every benchmarked workload), so a bounded sleep is enough.
     SleepFullMicros(poll_sleep_us_);
   }
+  RingDoorbell(out_bell_);
   return true;
 }
 
@@ -102,6 +147,10 @@ ServiceTransport::~ServiceTransport() {
       slots_[w].alive = false;
     }
   }
+  for (Slot& slot : slots_) {
+    close(slot.to_worker_bell);
+    close(slot.from_worker_bell);
+  }
 }
 
 void ServiceTransport::InitSlotMemory(Slot& slot) {
@@ -121,15 +170,15 @@ void ServiceTransport::ForkWorker(size_t w) {
   // Build everything the child needs before forking; the child attaches fresh ring handles
   // over the same (inherited, same-address) memory, with the push/pop directions flipped.
   void* region = slot.region.data();
-  size_t ring_bytes = config_.ring_bytes;
-  unsigned int sleep_us = config_.poll_sleep_us;
+  int in_bell = slot.to_worker_bell;
+  int out_bell = slot.from_worker_bell;
   const TransportConfig config = config_;
   WorkerBody body = body_;
-  slot.pid = SpawnChild([w, region, ring_bytes, sleep_us, config, body]() {
+  slot.pid = SpawnChild([w, region, in_bell, out_bell, config, body]() {
     auto* control = static_cast<WorkerControlBlock*>(region);
-    ShmRing in(ToWorkerBase(region), ring_bytes, /*initialize=*/false);
-    ShmRing out(FromWorkerBase(region, config), ring_bytes, /*initialize=*/false);
-    WorkerEndpoint endpoint(w, control, in, out, sleep_us);
+    ShmRing in(ToWorkerBase(region), config.ring_bytes, /*initialize=*/false);
+    ShmRing out(FromWorkerBase(region, config), config.ring_bytes, /*initialize=*/false);
+    WorkerEndpoint endpoint(w, control, in, out, in_bell, out_bell, config.poll_sleep_us);
     return body(endpoint);
   });
   slot.alive = true;
@@ -139,11 +188,14 @@ void ServiceTransport::Start() {
   DPACK_CHECK_MSG(!started_, "ServiceTransport::Start called twice");
   started_ = true;
   slots_.resize(config_.num_workers);
-  // Map and initialize every region BEFORE the first fork: each child inherits all
-  // mappings at the same addresses, so respawned workers can reuse their slot unchanged.
+  // Map and initialize every region, and create every doorbell, BEFORE the first fork:
+  // each child inherits all mappings at the same addresses and all doorbell descriptors,
+  // so respawned workers can reuse their slot unchanged.
   for (Slot& slot : slots_) {
     slot.region = ShmRegion(RegionBytes(config_));
     InitSlotMemory(slot);
+    slot.to_worker_bell = MakeDoorbell();
+    slot.from_worker_bell = MakeDoorbell();
   }
   for (size_t w = 0; w < slots_.size(); ++w) {
     ForkWorker(w);
@@ -190,8 +242,11 @@ bool ServiceTransport::Send(size_t w, const ServiceMessage& message) {
     DPACK_CHECK_MSG(stalls < config_.stall_budget,
                     "worker " << w << " stopped draining its ring (stall budget "
                               << config_.stall_budget << " exhausted)");
+    // A full ring has no doorbell to wait on; backpressure is rare (ring_stalls stays 0 on
+    // every benchmarked workload), so a bounded sleep is enough.
     SleepFullMicros(config_.poll_sleep_us);
   }
+  RingDoorbell(slot.to_worker_bell);
   ++counters_.messages_sent;
   counters_.bytes_sent += frame.size();
   return true;
@@ -213,6 +268,16 @@ RingPopStatus ServiceTransport::TryReceive(size_t w, ServiceMessage* out,
     return RingPopStatus::kCorrupt;
   }
   return RingPopStatus::kOk;
+}
+
+bool ServiceTransport::WaitForFrames(std::span<const size_t> workers) {
+  std::vector<pollfd> bells;
+  bells.reserve(workers.size());
+  for (size_t w : workers) {
+    DPACK_CHECK(w < slots_.size());
+    bells.push_back({slots_[w].from_worker_bell, POLLIN, 0});
+  }
+  return AwaitDoorbells(bells, config_.poll_sleep_us);
 }
 
 ChildState ServiceTransport::Poll(size_t w) {
@@ -244,6 +309,8 @@ void ServiceTransport::ResetRings(size_t w) {
   Slot& slot = slots_[w];
   DPACK_CHECK_MSG(!slot.alive, "ResetRings on a live worker would race its ring cursors");
   InitSlotMemory(slot);
+  ClearDoorbell(slot.to_worker_bell);
+  ClearDoorbell(slot.from_worker_bell);
 }
 
 void ServiceTransport::Respawn(size_t w) {
@@ -267,6 +334,7 @@ void ServiceTransport::ShutdownAll() {
         Kill(w, SIGKILL);
         break;
       }
+      // Process exit rings no doorbell, and shutdown is off the round-trip path.
       SleepFullMicros(config_.poll_sleep_us);
     }
   }

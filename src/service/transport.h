@@ -4,17 +4,25 @@
 // the mappings at the same addresses (src/common/subprocess.h explains why fork-without-exec
 // is safe here).
 //
+// Each ring direction also has a doorbell, an eventfd created before the first fork. The
+// producer rings it after TryPush has published a frame; a consumer that finds its ring
+// empty blocks on the doorbell (WaitReady, at most poll_sleep_us), clears it, and re-checks
+// the ring. A frame pushed anywhere in that sequence is either seen by the re-check or
+// leaves the doorbell set, so no wake-up is lost and no wait spins.
+//
 // The daemon side (ServiceTransport) tracks liveness two ways: waitpid for death (a killed
 // worker) and the shared heartbeat counter for hangs (a stopped or wedged worker whose pid
 // is still live). Both are driven by *iteration budgets*, not wall-clock deadlines — the
 // scheduling path stays free of clock reads (scripts/dpack_lint.py nondeterministic-source),
-// and a stall budget of N polls at a fixed sleep is a deadline all the same.
+// and a stall budget of N waits that each time out after poll_sleep_us is a deadline all
+// the same.
 //
 // Crash isolation contract: a worker may die (SIGKILL) at any instant. The rings only ever
 // expose complete checksummed frames (src/common/shm_ring.h), Send() to a dead worker
-// returns false instead of wedging, and a dead worker's rings may be re-initialized by the
-// daemon (ResetRings) because the daemon then owns both ends. The scheduler layer on top
-// (src/service/service_scheduler.h) turns these primitives into byte-identical recovery.
+// returns false instead of wedging, and a dead worker's rings and doorbells may be
+// re-initialized by the daemon (ResetRings) because the daemon then owns both ends. The
+// scheduler layer on top (src/service/service_scheduler.h) turns these primitives into
+// byte-identical recovery.
 
 #ifndef SRC_SERVICE_TRANSPORT_H_
 #define SRC_SERVICE_TRANSPORT_H_
@@ -25,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,29 +64,32 @@ struct TransportConfig {
   // Bytes per ring direction (two rings per worker). One megabyte holds any test-sized
   // refresh batch; a full ring is a counted stall, not an error.
   size_t ring_bytes = 1 << 20;
-  // Sleep per empty/full poll iteration, microseconds. Iteration counts, not elapsed time,
-  // bound every wait: budget * sleep is the effective deadline.
+  // The longest one wait may block, microseconds. An empty-ring wait ends early when the
+  // producer rings the doorbell; a full-ring wait always sleeps this long. Iteration
+  // counts, not elapsed time, bound every wait: budget * poll_sleep_us is the deadline.
   unsigned int poll_sleep_us = 50;
-  // Poll iterations a blocking daemon-side wait may spin before declaring the peer hung.
+  // Timed-out waits (or full-ring sleeps) a blocking daemon-side wait may make before
+  // declaring the peer hung.
   uint64_t stall_budget = 40000;
 };
 
 // The child-process side of one worker slot: pops daemon→worker frames, pushes
-// worker→daemon frames, bumps the shared heartbeat on every poll so the daemon can tell a
-// hung worker from a merely idle one. Constructed inside the forked child by
-// ServiceTransport; user code receives it through the WorkerBody callback.
+// worker→daemon frames, bumps the shared heartbeat on every wake-up and every timed-out
+// wait so the daemon can tell a hung worker from a merely idle one. Constructed inside the
+// forked child by ServiceTransport; user code receives it through the WorkerBody callback.
 class WorkerEndpoint {
  public:
+  // `in_bell` / `out_bell` are the doorbells of the `in` / `out` rings.
   WorkerEndpoint(size_t index, WorkerControlBlock* control, ShmRing in, ShmRing out,
-                 unsigned int poll_sleep_us);
+                 int in_bell, int out_bell, unsigned int poll_sleep_us);
 
   size_t index() const { return index_; }
 
-  // Blocks until one message arrives from the daemon (bumping the heartbeat every poll) and
-  // decodes it. Returns false on ring corruption or an undecodable frame — the worker
-  // should exit nonzero; the daemon sees the death and recovers. If the daemon itself dies
-  // (the worker is reparented), the wait ends and false is returned instead of spinning
-  // orphaned forever.
+  // Blocks on the inbound doorbell until one message arrives from the daemon (bumping the
+  // heartbeat on every wake-up and timeout) and decodes it. Returns false on ring
+  // corruption or an undecodable frame — the worker should exit nonzero; the daemon sees
+  // the death and recovers. If the daemon itself dies (the worker is reparented), the wait
+  // ends and false is returned instead of spinning orphaned forever.
   bool Receive(ServiceMessage* out);
 
   // Pushes one message toward the daemon, blocking while the ring is full. Returns false
@@ -90,8 +102,10 @@ class WorkerEndpoint {
  private:
   size_t index_;
   WorkerControlBlock* control_;
-  ShmRing in_;   // Daemon → worker; this side pops.
-  ShmRing out_;  // Worker → daemon; this side pushes.
+  ShmRing in_;    // Daemon → worker; this side pops.
+  ShmRing out_;   // Worker → daemon; this side pushes.
+  int in_bell_;   // Rung by the daemon after each push to in_.
+  int out_bell_;  // Rung here after each push to out_.
   unsigned int poll_sleep_us_;
 };
 
@@ -111,8 +125,8 @@ class ServiceTransport {
   ServiceTransport(const ServiceTransport&) = delete;
   ServiceTransport& operator=(const ServiceTransport&) = delete;
 
-  // Maps all regions, initializes rings and control blocks, forks every worker. Call once,
-  // from a single-threaded process.
+  // Maps all regions, initializes rings, control blocks and doorbells, forks every worker.
+  // Call once, from a single-threaded process.
   void Start();
   bool started() const { return started_; }
 
@@ -124,15 +138,20 @@ class ServiceTransport {
   uint64_t heartbeat(size_t w) const;
   WorkerLifeState life_state(size_t w) const;
 
-  // Blocking push to worker w's inbound ring. A full ring is polled (counting ring_stalls)
-  // until space frees, the worker is found dead (returns false), or the stall budget is
-  // exhausted (DPACK_CHECK failure: a live, bound worker that stops draining its ring for
-  // budget * poll_sleep_us is a bug, not backpressure).
+  // Blocking push to worker w's inbound ring, ringing its doorbell. A full ring is polled
+  // (counting ring_stalls) until space frees, the worker is found dead (returns false), or
+  // the stall budget is exhausted (DPACK_CHECK failure: a live, bound worker that stops
+  // draining its ring for budget * poll_sleep_us is a bug, not backpressure).
   bool Send(size_t w, const ServiceMessage& message);
 
   // Non-blocking pop from worker w's outbound ring. kOk decodes into *out (an undecodable
   // frame reports kCorrupt with *error set); kEmpty/kCorrupt leave *out untouched.
   RingPopStatus TryReceive(size_t w, ServiceMessage* out, std::string* error);
+
+  // Blocks until one of `workers` rings its outbound doorbell or poll_sleep_us passes, then
+  // clears the doorbells that rang. Call only after TryReceive found each ring empty;
+  // re-check the rings afterwards. Returns false on timeout (one unit of stall budget).
+  bool WaitForFrames(std::span<const size_t> workers);
 
   // Re-checks worker w's process state via waitpid. A terminal result (exit or signal)
   // reaps the child and marks the slot dead; safe to call repeatedly afterwards.
@@ -143,9 +162,10 @@ class ServiceTransport {
   // normal Poll-based detection find the corpse — that is the code path being proven.
   void Kill(size_t w, int signal);
 
-  // Re-initializes both rings and the control block of a DEAD worker slot (DPACK_CHECKs
-  // liveness): with the child gone the daemon owns both ring ends, so stale in-flight
-  // frames — which a respawned worker must never double-apply — are discarded wholesale.
+  // Re-initializes both rings, both doorbells and the control block of a DEAD worker slot
+  // (DPACK_CHECKs liveness): with the child gone the daemon owns both ring ends, so stale
+  // in-flight frames — which a respawned worker must never double-apply — and doorbells
+  // rung for them are discarded wholesale.
   void ResetRings(size_t w);
 
   // Forks a replacement worker into a dead, ring-reset slot. The new child starts cold
@@ -167,6 +187,8 @@ class ServiceTransport {
     // Daemon-side ring handles (the child constructs its own over the same memory).
     std::unique_ptr<ShmRing> to_worker;    // Daemon pushes.
     std::unique_ptr<ShmRing> from_worker;  // Daemon pops.
+    int to_worker_bell = -1;               // Daemon rings after each push.
+    int from_worker_bell = -1;             // The worker rings after each push.
     pid_t pid = -1;
     bool alive = false;
   };

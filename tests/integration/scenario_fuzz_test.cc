@@ -160,7 +160,9 @@ void RunFuzzIteration(uint64_t seed) {
 
   // Reference: the recompute engine on the same stream.
   SimConfig ref_sim = workload.sim;
-  ref_sim.num_shards = 0;
+  // The recompute reference has no engine to shard; 1 keeps even its snapshot metadata
+  // independent of the host's core count (0 would auto-resolve through ResolveNumShards).
+  ref_sim.num_shards = 1;
   ref_sim.async = false;
   SimResult reference = RunOnlineSimulation(MakeScheduler(metric, /*incremental=*/false),
                                             workload.tasks, ref_sim);

@@ -17,6 +17,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 VIOLATIONS = {
     "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
     "raw_affinity_violation.cc": ("src/core/pinning.cc", {"raw-affinity"}),
+    "raw_sleep_violation.cc": ("src/service/waits.cc", {"raw-sleep"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
     "unordered_member_violation.cc": ("src/core/tracker.cc", {"unordered-member"}),
     "nondeterministic_source_violation.cc": ("src/core/jitter.cc",
@@ -97,6 +98,46 @@ class FixtureViolations(unittest.TestCase):
                 self.assertIn(f"[{rule}]", proc.stdout,
                               f"{fixture} at {as_path} should trip {rule}:\n"
                               f"{proc.stdout}")
+
+
+class RawSleep(unittest.TestCase):
+    def test_fires_on_every_call_form(self):
+        # One finding per marked line: usleep, sleep, nanosleep, clock_nanosleep,
+        # std::this_thread::sleep_for/sleep_until, poll, ::poll, ppoll.
+        fixture = os.path.join(FIXTURES, "raw_sleep_violation.cc")
+        with open(fixture) as fh:
+            marked = sum(1 for line in fh if line.rstrip().endswith("// raw-sleep"))
+        for as_path in ("src/service/waits.cc", "src/orchestrator/pacing.cc",
+                        "src/common/poller.h"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", fixture, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertEqual(proc.stdout.count("[raw-sleep]"), marked, proc.stdout)
+
+    def test_near_misses_stay_quiet(self):
+        # Member calls (.poll/->poll), longer identifiers (PollOnce, Poll), a variable named
+        # poll, comments, strings, and the sanctioned helpers.
+        proc = run_lint("--fixture", os.path.join(FIXTURES, "raw_sleep_clean.cc"),
+                        "--as", "src/service/waits.cc")
+        self.assertEqual(proc.returncode, 0, f"near-miss fixture must be clean:\n{proc.stdout}")
+
+    def test_scoped_to_src(self):
+        # Tests and benches may sleep: the rule guards the library's budgeted waits.
+        for as_path in ("tests/service/waits_test.cc", "bench/pacing.cc"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", os.path.join(FIXTURES, "raw_sleep_violation.cc"),
+                                "--as", as_path)
+                self.assertEqual(proc.returncode, 0, proc.stdout)
+
+    def test_sleep_pair_is_the_only_raw_sleep_site(self):
+        # The exemption is exactly src/common/sleep.{h,cc}: their own source linted as any
+        # other src/ path must fire.
+        source = os.path.join(REPO_ROOT, "src", "common", "sleep.cc")
+        for as_path in ("src/common/sleep2.cc", "src/service/transport.cc"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", source, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertIn("[raw-sleep]", proc.stdout)
 
 
 class NearMisses(unittest.TestCase):

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <functional>
@@ -522,12 +523,19 @@ SimResult ReferenceRun(const ScenarioWorkload& workload) {
   return RunOnlineSimulation(std::move(scheduler), workload.tasks, workload.sim);
 }
 
+NetFrontConfig OrphanBoundedFront() {
+  NetFrontConfig config;
+  config.serve_idle_budget = 400000;  // An orphaned daemon exits, never leaks.
+  return config;
+}
+
 // Forks a --listen-style daemon serving the workload's block schedule on `socket_path`.
 // Exits 0 on a clean client Shutdown, 3 if the idle budget expired first.
 pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& workload,
-                  ServiceConfig service_config) {
+                  ServiceConfig service_config,
+                  NetFrontConfig front_config = OrphanBoundedFront()) {
   SimConfig sim = workload.sim;
-  return SpawnChild([socket_path, sim, service_config]() -> int {
+  return SpawnChild([socket_path, sim, service_config, front_config]() -> int {
     BlockManager blocks(Grid(), sim.eps_g, sim.delta_g);
     GrantServiceConfig config;
     config.service = service_config;
@@ -541,8 +549,6 @@ pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& worklo
     NetAddress address;
     address.is_unix = true;
     address.path = socket_path;
-    NetFrontConfig front_config;
-    front_config.serve_idle_budget = 400000;  // An orphaned daemon exits, never leaks.
     NetServiceFront front(&service, &blocks, Grid(), std::make_unique<NetListener>(address),
                           front_config, [&blocks, &schedule, &next_block](double now) {
                             while (next_block < schedule.size() &&
@@ -601,6 +607,48 @@ TEST(NetRemoteEquivalenceTest, RemoteTraceMatchesInProcessAcrossFleetShapesAndKi
     EXPECT_EQ(status.state, ChildState::kExited);
     EXPECT_EQ(status.exit_code, 0);
   }
+}
+
+// Every wait on the request/reply path blocks until the peer signals, with poll_sleep_us
+// only as its timeout. With a 200 ms timeout everywhere (client, front, fleet), at least 100
+// round trips through a forked daemon and its default 2-worker fleet must finish far inside
+// the 20 s that one fixed 200 ms sleep per round trip would cost, granting exactly what the
+// in-process engine grants.
+TEST(NetRemoteEquivalenceTest, WaitsAreEventDrivenNotSleepPolled) {
+  constexpr unsigned int kTimeoutUs = 200000;
+  ScenarioWorkload workload = Workload("retirement_churn");
+  SimResult reference = ReferenceRun(workload);
+  std::string socket_path = testing::TempDir() + "/dpack_net_event_driven.sock";
+  ServiceConfig service_config;  // The default fleet.
+  ASSERT_EQ(service_config.num_workers, 2u);
+  service_config.poll_sleep_us = kTimeoutUs;
+  NetFrontConfig front_config;
+  front_config.poll_sleep_us = kTimeoutUs;
+  front_config.serve_idle_budget = 50;  // ~10 s of silence: an orphaned daemon still exits.
+  NetClientConfig client_config;
+  client_config.poll_sleep_us = kTimeoutUs;
+
+  auto start = std::chrono::steady_clock::now();
+  pid_t daemon = SpawnDaemon(socket_path, workload, service_config, front_config);
+  ServiceClient client(client_config);
+  std::string error;
+  ASSERT_TRUE(client.Connect("unix:" + socket_path, &error)) << error;
+  RemoteRunResult result;
+  ASSERT_TRUE(RunRemoteWorkload(client, workload.tasks, workload.sim, &result, &error))
+      << error;
+  ASSERT_TRUE(client.SendShutdown(&error)) << error;
+  client.Close();
+  ChildStatus status = WaitChild(daemon);
+  double elapsed_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+
+  EXPECT_EQ(result.grant_trace, reference.grant_trace);
+  EXPECT_EQ(result.rejected, 0u);
+  // One reply frame per completed Submit or RunCycle round trip.
+  EXPECT_GE(client.counters().frames_received, 100u);
+  EXPECT_EQ(status.state, ChildState::kExited);
+  EXPECT_EQ(status.exit_code, 0);
+  EXPECT_LT(elapsed_s, 10.0) << client.counters().frames_received << " round trips";
 }
 
 }  // namespace
